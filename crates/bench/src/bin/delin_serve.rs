@@ -118,8 +118,10 @@ fn main() {
         }
     } else {
         config.batch.cache_file = cache_file;
-        let stdin = std::io::stdin();
-        let summary = serve(stdin.lock(), std::io::stdout(), &config, &shutdown);
+        // The session reads on its own thread, so it takes the `Send`
+        // handle rather than a `StdinLock`.
+        let stdin = BufReader::new(std::io::stdin());
+        let summary = serve(stdin, std::io::stdout(), &config, &shutdown);
         report(&summary);
     }
     if shutdown.is_cancelled() {

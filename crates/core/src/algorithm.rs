@@ -55,9 +55,9 @@ pub struct DelinConfig {
     /// when `incremental` is off; `None` uses a fresh per-call store.
     pub solve_store: Option<std::sync::Arc<delin_dep::exact::SubtreeStore>>,
     /// Run the per-dimension exact solvers on the arena path (per-worker
-    /// scratch reuse — see [`delin_dep::exact::arena_from_env`]). Pure perf
-    /// knob; search order and verdicts are identical either way. Defaults
-    /// to the `DELIN_ARENA` environment switch.
+    /// scratch reuse — see [`delin_dep::exact::ExactSolver::arena`]). Pure
+    /// perf knob; search order and verdicts are identical either way. On by
+    /// default.
     pub arena: bool,
 }
 
@@ -70,7 +70,7 @@ impl Default for DelinConfig {
             stop_on_independence: true,
             incremental: true,
             solve_store: None,
-            arena: delin_dep::exact::arena_from_env(),
+            arena: true,
         }
     }
 }

@@ -20,19 +20,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher as _;
 use std::sync::Mutex;
 
-/// The default arena switch: on, unless the `DELIN_ARENA` environment
-/// variable is set to `0` (or `off`).
-///
-/// The arena path reuses per-worker scratch — pooled DFS domain buffers in
-/// [`ExactSolver::solve`] and a recycled refinement problem in
-/// [`SubtreeStore::solve_refined`] — instead of allocating per node/query.
-/// It is a pure perf knob: search order, node accounting, verdicts and
-/// reports are byte-identical either way, which CI asserts with an A/B leg
-/// under `DELIN_ARENA=0`.
-pub fn arena_from_env() -> bool {
-    std::env::var("DELIN_ARENA").map(|v| v != "0" && v != "off").unwrap_or(true)
-}
-
 thread_local! {
     /// Search nodes explored by [`ExactSolver::solve`] on this thread since
     /// the last [`take_thread_nodes`] call.
@@ -162,11 +149,12 @@ pub struct ExactSolver {
     /// threads its own per-decision budget in via
     /// [`ExactSolver::with_budget`].
     pub budget: ResourceBudget,
-    /// Reuse this thread's [`SolveScratch`] (pooled DFS domain buffers,
-    /// recycled refinement problems) instead of allocating per node/query.
-    /// Defaults to [`arena_from_env`]; flip with [`ExactSolver::with_arena`]
-    /// for same-process A/B runs. Search order and node accounting are
-    /// identical either way.
+    /// Reuse this thread's [`SolveScratch`] (pooled DFS domain buffers in
+    /// [`ExactSolver::solve`], a recycled refinement problem in
+    /// [`SubtreeStore::solve_refined`]) instead of allocating per
+    /// node/query. On by default; flip with [`ExactSolver::with_arena`] for
+    /// same-process A/B runs. A pure perf knob: search order, node
+    /// accounting, verdicts and reports are identical either way.
     pub arena: bool,
 }
 
@@ -233,7 +221,7 @@ impl ExactSolver {
     /// axis is recorded in the budget's trip flag and surfaced as
     /// [`SolveOutcome::Degraded`].
     pub fn with_budget(budget: ResourceBudget) -> ExactSolver {
-        ExactSolver { budget, arena: arena_from_env() }
+        ExactSolver { budget, arena: true }
     }
 
     /// Overrides the scratch-reuse switch (see [`ExactSolver::arena`]).

@@ -69,9 +69,7 @@
 
 use crate::cache::{cache_cap_from_env, KeyMode, VerdictCache};
 use crate::chaos::{ChaosCtx, ChaosPlan, FaultKind};
-use crate::deps::{
-    incremental_from_env, workers_from_env, DepEdge, DepStats, TestChoice, VerdictStats,
-};
+use crate::deps::{workers_from_env, DepEdge, DepStats, TestChoice, VerdictStats};
 use crate::persist;
 use crate::pipeline::{run_pipeline_in, PipelineConfig};
 use delin_dep::budget::BudgetSpec;
@@ -176,19 +174,18 @@ pub struct BatchConfig {
     /// fingerprints (default) or rendered strings (the A/B baseline).
     /// Applies to the shared cross-unit cache and to per-unit private
     /// caches alike. Pure perf knob — every report is byte-identical
-    /// either way. The default reads `DELIN_KEYING`.
+    /// either way. Fingerprints by default.
     pub keying: KeyMode,
     /// Incremental exact solving (see
     /// [`crate::deps::EngineConfig::incremental`]): refinement queries
     /// replay memoized solve subtrees, and cached verdicts carry their
     /// solver state across units. A pure perf knob — edges and verdicts
-    /// are identical either way. The default reads `DELIN_INCREMENTAL`
-    /// (`0` disables, the A/B baseline).
+    /// are identical either way. On by default; off is the A/B baseline.
     pub incremental: bool,
     /// Arena miss path (see [`crate::deps::EngineConfig::arena`]):
     /// per-worker scratch reuse for decision problems and solver buffers.
-    /// A pure perf knob — every report is byte-identical either way. The
-    /// default reads `DELIN_ARENA` (`0` disables, the A/B baseline).
+    /// A pure perf knob — every report is byte-identical either way. On by
+    /// default; off is the A/B baseline.
     pub arena: bool,
     /// Apply induction-variable substitution.
     pub induction: bool,
@@ -229,9 +226,9 @@ impl Default for BatchConfig {
             unit_parallelism: 0,
             shared_cache: true,
             cache: true,
-            keying: KeyMode::from_env(),
-            incremental: incremental_from_env(),
-            arena: delin_dep::exact::arena_from_env(),
+            keying: KeyMode::Fp,
+            incremental: true,
+            arena: true,
             induction: true,
             linearize: true,
             infer_loop_assumptions: true,

@@ -22,7 +22,7 @@
 //! # Keying modes
 //!
 //! The cache supports two interchangeable key representations, selected by
-//! [`KeyMode`] (env knob `DELIN_KEYING`, default fingerprints):
+//! [`KeyMode`] (default fingerprints):
 //!
 //! * [`KeyMode::Fp`] — the hot path. Each lookup folds the canonical
 //!   structure (environment projection, bounds, common pairs, equations,
@@ -118,37 +118,13 @@ pub fn cache_cap_from_env() -> usize {
 }
 
 /// How the verdict cache represents its keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KeyMode {
     /// 128-bit structural fingerprints; canonical strings only on miss.
+    #[default]
     Fp,
     /// Eagerly rendered canonical string keys (the legacy baseline).
     Str,
-}
-
-impl KeyMode {
-    /// Reads `DELIN_KEYING`: `string`/`str` selects [`KeyMode::Str`],
-    /// anything else (including unset) the default [`KeyMode::Fp`].
-    pub fn from_env() -> KeyMode {
-        match std::env::var("DELIN_KEYING").as_deref() {
-            Ok("string") | Ok("str") => KeyMode::Str,
-            _ => KeyMode::Fp,
-        }
-    }
-
-    /// The name the bench/verify reports use for this mode.
-    pub fn label(self) -> &'static str {
-        match self {
-            KeyMode::Fp => "fp",
-            KeyMode::Str => "string",
-        }
-    }
-}
-
-impl Default for KeyMode {
-    fn default() -> Self {
-        KeyMode::from_env()
-    }
 }
 
 /// The memoized result of deciding one canonical dependence problem.
@@ -361,9 +337,9 @@ enum ShardMap {
 /// under one assumption environment, or with [`VerdictCache::shared`] for a
 /// cache shared across program units with *different* environments (every
 /// lookup then goes through [`VerdictCache::lookup`], which keys on the
-/// per-unit assumptions). Both pick their [`KeyMode`] from the
-/// `DELIN_KEYING` environment knob; the `_with` constructors pin it
-/// explicitly (the `--verify` keying A/B runs both side by side).
+/// per-unit assumptions). Both use the default [`KeyMode::Fp`]; the `_with`
+/// constructors pick it explicitly (the `--verify` keying A/B runs both
+/// side by side).
 pub struct VerdictCache {
     shards: ShardMap,
     /// The environment baked in by [`VerdictCache::new`]; `None` for shared
@@ -384,10 +360,10 @@ pub struct VerdictCache {
 }
 
 impl VerdictCache {
-    /// An empty cache for one run under the given assumptions, keyed per
-    /// [`KeyMode::from_env`] and bounded per [`cache_cap_from_env`].
+    /// An empty cache for one run under the given assumptions, keyed by
+    /// fingerprint and bounded per [`cache_cap_from_env`].
     pub fn new(assumptions: &Assumptions) -> VerdictCache {
-        VerdictCache::new_with(assumptions, KeyMode::from_env())
+        VerdictCache::new_with(assumptions, KeyMode::Fp)
     }
 
     /// An empty cache for one run under the given assumptions, with an
@@ -397,10 +373,10 @@ impl VerdictCache {
     }
 
     /// An empty cache safe to share across program units analyzed under
-    /// different assumption environments, keyed per [`KeyMode::from_env`]
-    /// and bounded per [`cache_cap_from_env`].
+    /// different assumption environments, keyed by fingerprint and bounded
+    /// per [`cache_cap_from_env`].
     pub fn shared() -> VerdictCache {
-        VerdictCache::shared_with(KeyMode::from_env())
+        VerdictCache::shared_with(KeyMode::Fp)
     }
 
     /// An empty shareable cache with an explicit key representation
@@ -1495,13 +1471,5 @@ mod tests {
                 outcome(0)
             });
         }
-    }
-
-    #[test]
-    fn key_mode_env_knob_parses() {
-        // `from_env` itself reads the live environment (unsafe to mutate in
-        // a threaded test harness), so pin the match arms directly.
-        assert_eq!(KeyMode::Fp.label(), "fp");
-        assert_eq!(KeyMode::Str.label(), "string");
     }
 }

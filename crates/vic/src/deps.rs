@@ -23,7 +23,7 @@ use delin_dep::acyclic::AcyclicTest;
 use delin_dep::banerjee::BanerjeeTest;
 use delin_dep::budget::{BudgetSpec, DegradeReason, ResourceBudget};
 use delin_dep::dirvec::{summarize, Dir, DirVec};
-use delin_dep::exact::{arena_from_env, SubtreeStore};
+use delin_dep::exact::SubtreeStore;
 use delin_dep::gcd::GcdTest;
 use delin_dep::hierarchy;
 use delin_dep::problem::{DependenceProblem, ProblemArena, ProblemBuilder};
@@ -394,16 +394,15 @@ pub struct EngineConfig {
     /// structural fingerprints (the default hot path) or eagerly rendered
     /// canonical strings (the A/B baseline). Pure perf knob — hits, misses,
     /// verdicts and edges are identical either way. Defaults to
-    /// [`KeyMode::from_env`] (`DELIN_KEYING`). Ignored when a shared cache
-    /// is passed in (the cache carries its own mode).
+    /// [`KeyMode::Fp`]. Ignored when a shared cache is passed in (the cache
+    /// carries its own mode).
     pub keying: KeyMode,
     /// Incremental exact solving: direction-refinement queries replay
     /// memoized solve subtrees (see [`delin_dep::exact::SubtreeStore`])
     /// instead of re-enumerating, and the verdict cache stores each
     /// problem's solver state alongside its verdict. Off reproduces the
     /// fresh-solve engine node for node — the A/B baseline; verdicts and
-    /// edges are identical either way. Defaults to
-    /// [`incremental_from_env`].
+    /// edges are identical either way. On by default.
     pub incremental: bool,
     /// Entry capacity for the private verdict cache (`0` = unbounded; see
     /// [`crate::cache::cache_cap_from_env`] / `DELIN_CACHE_CAP`). Bounded
@@ -415,10 +414,10 @@ pub struct EngineConfig {
     /// The arena miss path: decisions lease their working problems from a
     /// per-worker [`ProblemArena`] (capacity-reusing `clone_from` instead
     /// of builder rebuilds) and the exact solvers reuse per-worker DFS
-    /// scratch. Off reproduces the allocate-per-step engine — the
-    /// `DELIN_ARENA=0` A/B baseline; edges, verdicts, node counts and every
-    /// determinism-checked statistic are identical either way. Defaults to
-    /// [`arena_from_env`].
+    /// scratch. Off reproduces the allocate-per-step engine — the A/B
+    /// baseline; edges, verdicts, node counts and every
+    /// determinism-checked statistic are identical either way. On by
+    /// default.
     pub arena: bool,
     /// Resource budget specification. Armed once per graph construction
     /// (the deadline covers the whole run); each pair then observes the
@@ -437,9 +436,9 @@ impl Default for EngineConfig {
             choice: TestChoice::default(),
             workers: workers_from_env(),
             cache: true,
-            keying: KeyMode::from_env(),
-            incremental: incremental_from_env(),
-            arena: arena_from_env(),
+            keying: KeyMode::Fp,
+            incremental: true,
+            arena: true,
             cache_cap: crate::cache::cache_cap_from_env(),
             budget: BudgetSpec::default(),
             chaos: None,
@@ -455,16 +454,6 @@ impl Default for EngineConfig {
 /// default configurations fails the determinism gate.
 pub fn workers_from_env() -> usize {
     std::env::var("DELIN_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// The default incremental-solving switch: on, unless the
-/// `DELIN_INCREMENTAL` environment variable is set to `0`.
-///
-/// The bench binaries and CI use `DELIN_INCREMENTAL=0` as the A/B baseline:
-/// it must produce byte-identical edges and verdicts, spending strictly
-/// more solver nodes on any workload with reusable refinements.
-pub fn incremental_from_env() -> bool {
-    std::env::var("DELIN_INCREMENTAL").map(|v| v != "0").unwrap_or(true)
 }
 
 impl EngineConfig {

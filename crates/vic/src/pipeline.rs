@@ -8,11 +8,9 @@ use crate::cache::{KeyMode, VerdictCache};
 use crate::chaos::ChaosCtx;
 use crate::codegen::{vectorize, VectorizeResult};
 use crate::deps::{
-    build_dependence_graph_in, incremental_from_env, workers_from_env, DepGraph, DepStats,
-    EngineConfig, TestChoice,
+    build_dependence_graph_in, workers_from_env, DepGraph, DepStats, EngineConfig, TestChoice,
 };
 use delin_dep::budget::BudgetSpec;
-use delin_dep::exact::arena_from_env;
 use delin_frontend::induction::{substitute_inductions, InductionReport};
 use delin_frontend::linearize::{linearize_aliased, LinearizeReport};
 use delin_frontend::parser::{parse_program, ParseError};
@@ -41,17 +39,15 @@ pub struct PipelineConfig {
     pub cache: bool,
     /// Verdict-cache key representation (see [`KeyMode`]): structural
     /// fingerprints by default, rendered strings as the A/B baseline. Pure
-    /// perf knob; the default reads `DELIN_KEYING` (`string` selects the
-    /// baseline).
+    /// perf knob.
     pub keying: KeyMode,
     /// Incremental exact solving (see [`EngineConfig::incremental`]): a
-    /// pure perf knob, identical edges and verdicts either way. The
-    /// default reads `DELIN_INCREMENTAL` (`0` disables).
+    /// pure perf knob, identical edges and verdicts either way. On by
+    /// default.
     pub incremental: bool,
     /// Arena miss path (see [`EngineConfig::arena`]): per-worker scratch
     /// reuse for problems and solver buffers. Pure perf knob, identical
-    /// edges and verdicts either way. The default reads `DELIN_ARENA`
-    /// (`0` disables).
+    /// edges and verdicts either way. On by default.
     pub arena: bool,
     /// Verdict-cache entry capacity (see [`EngineConfig::cache_cap`]);
     /// `0` = unbounded. The default reads `DELIN_CACHE_CAP`. Ignored when
@@ -75,9 +71,9 @@ impl Default for PipelineConfig {
             infer_loop_assumptions: true,
             workers: workers_from_env(),
             cache: true,
-            keying: KeyMode::from_env(),
-            incremental: incremental_from_env(),
-            arena: arena_from_env(),
+            keying: KeyMode::Fp,
+            incremental: true,
+            arena: true,
             cache_cap: crate::cache::cache_cap_from_env(),
             budget: BudgetSpec::default(),
             chaos: None,

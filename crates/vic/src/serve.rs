@@ -1,12 +1,15 @@
 //! Analysis as a service: a long-lived jsonl daemon over the batch engine.
 //!
 //! [`serve`] reads newline-delimited JSON requests from any [`BufRead`],
-//! feeds them through a channel into [`BatchRunner::run_jobs_in`]'s worker
-//! pool, and streams one JSON response per unit back over any
+//! feeds them through a channel into [`crate::batch::BatchRunner::run_jobs_in`]'s
+//! worker pool, and streams one JSON response per unit back over any
 //! [`Write`] — tagged with the client's request id, carrying the verdict
 //! edges, the scheduling-independent [`crate::deps::VerdictStats`], and any
-//! degradation reasons. The request protocol (documented in the repository
-//! README's "Serving" section):
+//! degradation reasons. There is one session loop: [`serve`] runs a single
+//! connection through [`multi::serve_connections`], the same code that
+//! serves every Unix-socket connection of `delin_serve --socket`. The
+//! request protocol (documented in the repository README's "Serving"
+//! section):
 //!
 //! * **Analyze** — `{"id": "r1", "source": "...", "name"?: "...",
 //!   "assumptions"?: {"N": 1}, "budget"?: {"nodes": 10000,
@@ -50,11 +53,12 @@
 //! every in-flight request *immediately* — per-request tokens are
 //! [`CancelToken::child`]ren of the session token, itself a child of the
 //! daemon token, so the very next budget probe inside the solver observes
-//! the ancestor flag. No watcher thread, no polling: the session spawns
-//! exactly one auxiliary thread (the runner pool) and none survive it. A
-//! reader blocked on a quiet input stream stays blocked until the next
-//! line, EOF, or (on transports with read timeouts) the next idle probe;
-//! binaries that need harder guarantees close the input instead.
+//! the ancestor flag. No watcher thread, no polling: the session's
+//! auxiliary threads (the runner pool and the connection's reader and
+//! writer) are scoped, and none survive it. A reader blocked on a quiet
+//! input stream stays blocked until the next line, EOF, or (on transports
+//! with read timeouts) the next idle probe; binaries that need harder
+//! guarantees close the input instead.
 //!
 //! # Client-gone and idle clients
 //!
@@ -71,24 +75,18 @@
 //!
 //! # Concurrent connections
 //!
-//! This module serves **one** transport. [`multi`] multiplexes many
+//! [`serve`] serves **one** transport. [`multi`] multiplexes many
 //! concurrent connections onto one shared runner and cache with
 //! per-connection fairness quotas — that is what `delin_serve --socket`
-//! runs.
+//! runs, and what [`serve`] runs with a single connection.
 
-use crate::batch::{
-    BatchConfig, BatchJob, BatchRunner, BatchStats, BatchUnit, UnitOutcome, UnitReport,
-};
-use crate::cache::VerdictCache;
+use crate::batch::{BatchConfig, BatchJob, BatchStats, BatchUnit, UnitOutcome, UnitReport};
 use crate::deps::DepEdge;
 use crate::json::{self, Json};
 use delin_dep::budget::{BudgetSpec, CancelToken};
 use delin_numeric::Assumptions;
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[path = "serve_multi.rs"]
 pub mod multi;
@@ -163,20 +161,20 @@ pub struct ServeSummary {
     /// failed with `EPIPE`/`ECONNRESET`/`ECONNABORTED`): its pending
     /// requests were cancelled and drained conservatively.
     pub client_gone: bool,
-    /// Sessions ended by [`ServeConfig::idle_timeout_ms`] (0 or 1 for a
-    /// single session; a counter so the multi-connection layer can sum it).
+    /// Sessions ended by [`ServeConfig::idle_timeout_ms`] (0 or 1).
     pub idle_timeouts: usize,
-}
-
-/// One admitted request awaiting its response.
-struct Pending {
-    id: String,
-    cancel: CancelToken,
 }
 
 /// Serves one jsonl session over the given transport. See the module docs
 /// for the protocol. Returns when the input reaches EOF, a shutdown request
 /// arrives, or `shutdown` is tripped (checked before each line).
+///
+/// The session is the multi-connection daemon ([`multi::serve_connections`])
+/// fed exactly one connection, with the per-connection quota equal to
+/// [`ServeConfig::max_in_flight`] — so the global bound is the one that
+/// rejects, and stdin sessions run the same loop as socket connections.
+/// The session owns its verdict cache, so [`BatchConfig::cache_file`] is
+/// honored directly.
 pub fn serve<R, W>(
     input: R,
     output: W,
@@ -184,223 +182,27 @@ pub fn serve<R, W>(
     shutdown: &CancelToken,
 ) -> ServeSummary
 where
-    R: BufRead,
+    R: BufRead + Send,
     W: Write + Send,
 {
-    serve_in(input, output, config, shutdown, None)
-}
-
-/// [`serve`] against a caller-owned shared verdict cache, which then warms
-/// across sessions (and, if the owner persists it, across restarts). When
-/// `cache` is `None` the session owns its cache and
-/// [`BatchConfig::cache_file`] is honored directly.
-pub fn serve_in<R, W>(
-    input: R,
-    output: W,
-    config: &ServeConfig,
-    shutdown: &CancelToken,
-    cache: Option<&VerdictCache>,
-) -> ServeSummary
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let (tx, rx) = mpsc::channel::<BatchJob>();
-    let pending: Mutex<HashMap<u64, Pending>> = Mutex::new(HashMap::new());
-    // The session token: a child of the daemon-wide shutdown token, the
-    // parent of every per-request token. Daemon shutdown reaches in-flight
-    // budgets through the ancestor chain (event-driven, no watcher
-    // thread); a client-gone write failure cancels just this session.
-    let session = shutdown.child();
-    let out = SessionOut::new(output, session.clone());
-    let completed = AtomicUsize::new(0);
-    let runner = BatchRunner::new(config.batch.clone());
-    let max_in_flight = config.max_in_flight.max(1);
-    let idle_timeout = config.idle_timeout_ms.map(Duration::from_millis);
-
-    let mut admitted = 0usize;
-    let mut rejected = 0usize;
-    let mut cancel_requests = 0usize;
-    let mut protocol_errors = 0usize;
-    let mut idle_timeouts = 0usize;
-
-    let batch = std::thread::scope(|scope| {
-        // Completion sink: render and stream the response on the worker
-        // that finished the unit, then release the admission slot. The
-        // pending entry is removed only *after* the write, so back-pressure
-        // on the output keeps the slot occupied — that is what makes
-        // "overloaded" deterministic instead of racy for a blocked client.
-        let sink = |tag: u64, report: &UnitReport| {
-            let id = lock_recover(&pending).get(&tag).map(|p| p.id.clone());
-            let line = render_result(id.as_deref(), report);
-            out.line(&line);
-            lock_recover(&pending).remove(&tag);
-            completed.fetch_add(1, Ordering::SeqCst);
-        };
-        let runner_handle = scope.spawn(move || runner.run_jobs_in(rx, cache, false, sink));
-
-        let mut input = input;
-        let mut next_tag = 0u64;
-        let mut reader = LineBuf::new();
-        let mut idle_since = Instant::now();
-        loop {
-            if session.is_cancelled() {
-                break;
-            }
-            let read = match reader.read_line(&mut input, config.max_request_bytes) {
-                Ok(read) => read,
-                // A signal (e.g. the SIGINT that trips `shutdown`) lands as
-                // an interrupted read; re-check the token at the loop top
-                // instead of treating it as a transport failure.
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    // A peer-reset read is the same client-gone case as a
-                    // broken-pipe write: drain, don't error.
-                    if is_client_gone(e.kind()) {
-                        out.client_vanished();
-                    } else {
-                        out.record_io_error(&e.to_string());
-                    }
-                    break;
-                }
-            };
-            let oversized = match read {
-                LineRead::Eof => break,
-                // The transport's read timed out mid-wait: the idle probe.
-                // Partial-line progress is preserved in `reader`; a slow
-                // writer that never completes a line is idle all the same.
-                LineRead::Idle => {
-                    if session.is_cancelled() {
-                        break;
-                    }
-                    if let Some(limit) = idle_timeout {
-                        if idle_since.elapsed() >= limit {
-                            idle_timeouts += 1;
-                            out.line(&render_error(
-                                None,
-                                "idle_timeout",
-                                "no request within the idle timeout",
-                            ));
-                            // Drain pending work conservatively: cancel the
-                            // session (children degrade), then fall out of
-                            // the loop to flush responses.
-                            session.cancel();
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                LineRead::Line { oversized } => oversized,
-            };
-            idle_since = Instant::now();
-            let buf = reader.take();
-            if oversized {
-                protocol_errors += 1;
-                out.line(&render_error(None, "oversized", "request line too long"));
-                continue;
-            }
-            if buf.iter().all(|b| b.is_ascii_whitespace()) {
-                continue;
-            }
-            let Ok(line) = std::str::from_utf8(&buf) else {
-                protocol_errors += 1;
-                out.line(&render_error(None, "invalid_json", "invalid utf-8"));
-                continue;
-            };
-            let value = match json::parse(line) {
-                Ok(value) => value,
-                Err(e) => {
-                    protocol_errors += 1;
-                    out.line(&render_error(None, "invalid_json", &e.to_string()));
-                    continue;
-                }
-            };
-            match interpret(&value) {
-                Ok(Request::Shutdown) => {
-                    out.line("{\"type\":\"shutdown\"}");
-                    break;
-                }
-                Ok(Request::Cancel(id)) => {
-                    cancel_requests += 1;
-                    let mut found = false;
-                    for p in lock_recover(&pending).values() {
-                        if p.id == id {
-                            p.cancel.cancel();
-                            found = true;
-                        }
-                    }
-                    if found {
-                        out.line(&render_cancel_ok(&id));
-                    } else {
-                        protocol_errors += 1;
-                        out.line(&render_error(
-                            Some(&id),
-                            "unknown_id",
-                            "no such request in flight",
-                        ));
-                    }
-                }
-                Ok(Request::Analyze(req)) => {
-                    {
-                        let slots = lock_recover(&pending).len();
-                        if slots >= max_in_flight {
-                            rejected += 1;
-                            out.line(&render_error(
-                                Some(&req.id),
-                                "overloaded",
-                                "too many requests in flight",
-                            ));
-                            continue;
-                        }
-                    }
-                    let cancel = session.child();
-                    let tag = next_tag;
-                    next_tag += 1;
-                    lock_recover(&pending)
-                        .insert(tag, Pending { id: req.id.clone(), cancel: cancel.clone() });
-                    let job = job_for(req, &config.batch.budget, cancel, tag);
-                    admitted += 1;
-                    if tx.send(job).is_err() {
-                        // The runner is gone (it cannot exit before `tx`
-                        // drops in normal operation); degrade structurally.
-                        admitted -= 1;
-                        let id = lock_recover(&pending).remove(&tag).map(|p| p.id);
-                        protocol_errors += 1;
-                        out.line(&render_error(
-                            id.as_deref(),
-                            "internal",
-                            "worker pool unavailable",
-                        ));
-                    }
-                }
-                Err((id, detail)) => {
-                    protocol_errors += 1;
-                    out.line(&render_error(id.as_deref(), "invalid_request", &detail));
-                }
-            }
-        }
-        drop(tx);
-        runner_handle.join()
-    });
-
-    let batch = match batch {
-        Ok(stats) => stats,
-        // The runner survives unit and stream panics by design; a panic
-        // escaping it is a bug, reported as an empty session rather than
-        // propagated into the daemon loop.
-        Err(_) => empty_batch_stats(1),
+    let multi = multi::MultiConfig {
+        serve: config.clone(),
+        max_connections: 1,
+        conn_quota: config.max_in_flight,
     };
-    let (io_error, client_gone) = out.into_parts();
+    let mut connection = Some((input, output));
+    let accept = move || Ok(connection.take());
+    let summary = multi::serve_connections(accept, &multi, shutdown, None);
     ServeSummary {
-        admitted,
-        completed: completed.into_inner(),
-        rejected,
-        cancel_requests,
-        protocol_errors,
-        batch,
-        io_error,
-        client_gone,
-        idle_timeouts,
+        admitted: summary.admitted,
+        completed: summary.completed,
+        rejected: summary.rejected,
+        cancel_requests: summary.cancel_requests,
+        protocol_errors: summary.protocol_errors,
+        batch: summary.batch,
+        io_error: summary.io_error,
+        client_gone: summary.client_gone > 0,
+        idle_timeouts: summary.idle_timeouts,
     }
 }
 
@@ -708,74 +510,6 @@ pub(crate) fn is_client_gone(kind: std::io::ErrorKind) -> bool {
             | std::io::ErrorKind::ConnectionReset
             | std::io::ErrorKind::ConnectionAborted
     )
-}
-
-/// The session's shared response sink: the writer, the first transport
-/// error, and the client-gone flag behind one lock, so response lines never
-/// interleave. A client-gone write failure ([`is_client_gone`]) cancels the
-/// session token — pending requests degrade and drain — instead of landing
-/// in the fatal error slot; other write errors are recorded (first wins)
-/// and later writes are still attempted, since the transport may recover.
-pub(crate) struct SessionOut<W> {
-    out: Mutex<W>,
-    io_error: Mutex<Option<String>>,
-    gone: AtomicBool,
-    session: CancelToken,
-}
-
-impl<W: Write> SessionOut<W> {
-    pub(crate) fn new(out: W, session: CancelToken) -> SessionOut<W> {
-        SessionOut {
-            out: Mutex::new(out),
-            io_error: Mutex::new(None),
-            gone: AtomicBool::new(false),
-            session,
-        }
-    }
-
-    /// Appends one response line (plus newline), flushing so interactive
-    /// clients see it immediately. After client-gone, writes become no-ops:
-    /// the responses are undeliverable by definition.
-    pub(crate) fn line(&self, line: &str) {
-        if self.gone.load(Ordering::Acquire) {
-            return;
-        }
-        let mut guard = lock_recover(&self.out);
-        let result = guard
-            .write_all(line.as_bytes())
-            .and_then(|()| guard.write_all(b"\n"))
-            .and_then(|()| guard.flush());
-        drop(guard);
-        if let Err(e) = result {
-            if is_client_gone(e.kind()) {
-                self.client_vanished();
-            } else {
-                self.record_io_error(&e.to_string());
-            }
-        }
-    }
-
-    /// Marks the client gone (idempotent) and cancels the session so
-    /// pending requests degrade and drain.
-    pub(crate) fn client_vanished(&self) {
-        if !self.gone.swap(true, Ordering::AcqRel) {
-            self.session.cancel();
-        }
-    }
-
-    /// Records a fatal transport error (first one wins).
-    pub(crate) fn record_io_error(&self, detail: &str) {
-        let mut slot = lock_recover(&self.io_error);
-        if slot.is_none() {
-            *slot = Some(detail.to_string());
-        }
-    }
-
-    /// Consumes the sink: `(io_error, client_gone)` for the summary.
-    pub(crate) fn into_parts(self) -> (Option<String>, bool) {
-        let io_error = self.io_error.into_inner().unwrap_or_else(PoisonError::into_inner);
-        (io_error, self.gone.into_inner())
-    }
 }
 
 pub(crate) enum LineRead {

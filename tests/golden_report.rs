@@ -19,7 +19,7 @@ use delinearization::vic::deps::TestChoice;
 const GOLDEN_PATH: &str = "tests/golden/riceps_batch_report.txt";
 
 /// The pinned run: every knob explicit so no environment variable
-/// (`DELIN_WORKERS`, `DELIN_INCREMENTAL`, `DELIN_DEADLINE_MS`,
+/// (`DELIN_WORKERS`, `DELIN_CACHE_CAP`, `DELIN_DEADLINE_MS`,
 /// `DELIN_CHAOS_SEED`) can leak into the golden bytes. This is the
 /// `batch_corpus` default corpus shape (size-reduced RiCEPS) minus the
 /// generated units, serial, incremental solving on.

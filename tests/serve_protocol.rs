@@ -200,6 +200,9 @@ fn overloaded_daemon_rejects_instead_of_queueing() {
     assert_eq!(response_id(&lines[1]).as_deref(), Some("r2"));
     assert_eq!(response_type(&lines[1]), "error");
     assert!(lines[1].contains("\"error\":\"overloaded\""), "{}", lines[1]);
+    // A stdin-style session is one connection whose quota equals the
+    // global bound, so the global bound is the one that rejects.
+    assert!(lines[1].contains("\"detail\":\"too many requests in flight\""), "{}", lines[1]);
 
     // The slot frees once r1's response is consumed; a later request is
     // admitted again (retry until the sink thread finishes releasing it).
@@ -219,6 +222,15 @@ fn overloaded_daemon_rejects_instead_of_queueing() {
     let summary = session.close();
     assert!(summary.rejected >= 1);
     assert_eq!(summary.io_error, None);
+    // The counters match the script: r1 and the final r3 admitted; r2 and
+    // every retry before the slot freed rejected; nothing else happened.
+    assert_eq!(summary.admitted, 2);
+    assert_eq!(summary.completed, 2);
+    assert_eq!(summary.rejected, 1 + attempts);
+    assert_eq!(summary.cancel_requests, 0);
+    assert_eq!(summary.protocol_errors, 0);
+    assert!(!summary.client_gone);
+    assert_eq!(summary.idle_timeouts, 0);
 }
 
 /// Cancelling an in-flight request acknowledges with `cancel_ok`. The

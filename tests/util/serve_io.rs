@@ -271,7 +271,7 @@ impl MultiHarness {
             .expect("harness already closed")
             .send((reader, writer))
             .expect("daemon acceptor gone");
-        MultiClient { input: Some(in_tx), output: Some(output) }
+        MultiClient { input: Some(in_tx), output: Some(output), faulted: fault.is_some() }
     }
 
     /// Ends accepting and joins the daemon for its summary. Live
@@ -287,6 +287,10 @@ impl MultiHarness {
 pub struct MultiClient {
     input: Option<Sender<Vec<u8>>>,
     output: Option<Receiver<String>>,
+    /// Opened with an injected transport fault: the daemon may already have
+    /// torn down this connection's reader (a `CutRead` past its cut point),
+    /// so later sends may find it gone.
+    faulted: bool,
 }
 
 impl MultiClient {
@@ -295,13 +299,12 @@ impl MultiClient {
         self.send_raw(format!("{line}\n").as_bytes());
     }
 
-    /// Sends raw bytes verbatim.
+    /// Sends raw bytes verbatim. On a faulted connection the bytes are
+    /// dropped once the daemon's reader is gone — the fault closed it, as a
+    /// reset socket would; on a clean connection that is a daemon bug.
     pub fn send_raw(&self, bytes: &[u8]) {
-        self.input
-            .as_ref()
-            .expect("input already closed")
-            .send(bytes.to_vec())
-            .expect("daemon reader gone");
+        let sent = self.input.as_ref().expect("input already closed").send(bytes.to_vec());
+        assert!(sent.is_ok() || self.faulted, "daemon reader gone");
     }
 
     /// Receives one response line; panics after [`RESPONSE_TIMEOUT`] so a
