@@ -14,6 +14,10 @@ DELIN_WORKERS=4 cargo test -q
 # counts so the engine's default configuration gets both shapes.
 PROPTEST_CASES=1024 DELIN_WORKERS=1 cargo test -q --release --test oracle_differential
 PROPTEST_CASES=1024 DELIN_WORKERS=4 cargo test -q --release --test oracle_differential
+# The vectorizer's condensed statement graph against the raw-scan reference
+# codegen it replaced, at the same depth (synthetic graphs whose raw edge
+# order interleaves carrying levels, plus corpus units).
+PROPTEST_CASES=1024 cargo test -q --release -p delin-vic --lib codegen::tests::
 # The batch engine's corpus-wide determinism matrix (workers x orderings)
 # plus the incremental, keying, warm-start and arena A/B legs, at both fixed
 # worker counts so each equivalence is proven serial and parallel.

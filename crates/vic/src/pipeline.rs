@@ -11,6 +11,7 @@ use crate::deps::{
     build_dependence_graph_in, workers_from_env, DepGraph, DepStats, EngineConfig, TestChoice,
 };
 use delin_dep::budget::BudgetSpec;
+use delin_frontend::ast::Program;
 use delin_frontend::induction::{substitute_inductions, InductionReport};
 use delin_frontend::linearize::{linearize_aliased, LinearizeReport};
 use delin_frontend::parser::{parse_program, ParseError};
@@ -146,6 +147,26 @@ pub fn run_pipeline_in(
     config: &PipelineConfig,
     shared: Option<&VerdictCache>,
 ) -> Result<PipelineReport, PipelineError> {
+    let (program, graph, inductions, linearizations) = analyze(src, config, shared)?;
+    let vectorization = vectorize(&program, &graph);
+    Ok(PipelineReport {
+        vector_code: vectorization.render(),
+        stats: graph.stats.clone(),
+        vectorization,
+        inductions,
+        linearizations,
+        graph,
+    })
+}
+
+/// Everything [`run_pipeline_in`] does before vectorization: the
+/// transformed program and its dependence graph, with the front end's
+/// reports.
+pub(crate) fn analyze(
+    src: &str,
+    config: &PipelineConfig,
+    shared: Option<&VerdictCache>,
+) -> Result<(Program, DepGraph, Vec<InductionReport>, Vec<LinearizeReport>), PipelineError> {
     let mut program = parse_program(src)?;
     let mut inductions = Vec::new();
     if config.induction {
@@ -181,15 +202,7 @@ pub fn run_pipeline_in(
         chaos: config.chaos.clone(),
     };
     let graph = build_dependence_graph_in(&program, &assumptions, &engine, shared);
-    let vectorization = vectorize(&program, &graph);
-    Ok(PipelineReport {
-        vector_code: vectorization.render(),
-        stats: graph.stats.clone(),
-        vectorization,
-        inductions,
-        linearizations,
-        graph,
-    })
+    Ok((program, graph, inductions, linearizations))
 }
 
 #[cfg(test)]
